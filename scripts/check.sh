@@ -180,11 +180,15 @@ if [ "$1" = "--restore-smoke" ]; then
   # gapped-tail refusal and base_seq restoration), point-in-time replay
   # against reference dumps, and the end-to-end checkpoint -> rotate ->
   # truncate -> restart -> replica bootstrap flow under seeded faults.
-  "$BUILD_DIR"/tests/test_restore
-  # The point-in-time test leaves its data directory behind; replay it
+  # Test scratch directories go under a private TMPDIR, so a concurrent
+  # ctest run cannot replace the directory replayed below.
+  SMOKE_TMP="$(mktemp -d)"
+  TMPDIR="$SMOKE_TMP" "$BUILD_DIR"/tests/test_restore
+  # Every test removes its scratch directory except the point-in-time test,
+  # which hands its data directory over as moira-test/restore-pit; replay it
   # through the offline CLI to a mid-history seq and to the end, exercising
   # the same recovery code path an operator would run.
-  PIT_DIR="${TMPDIR:-/tmp}/moira-test/restore-pit"
+  PIT_DIR="$SMOKE_TMP/moira-test/restore-pit"
   if [ -d "$PIT_DIR" ]; then
     "$BUILD_DIR"/examples/mrrestore "$PIT_DIR" --to-seq 5 >/dev/null
     "$BUILD_DIR"/examples/mrrestore "$PIT_DIR" --dump >/dev/null
@@ -192,6 +196,7 @@ if [ "$1" = "--restore-smoke" ]; then
     echo "restore-smoke: missing $PIT_DIR (test_restore should have left it)" >&2
     exit 1
   fi
+  rm -rf "$SMOKE_TMP"
   echo "restore-smoke: ok"
   exit 0
 fi

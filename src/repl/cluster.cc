@@ -61,8 +61,6 @@ ReplCluster::ReplCluster(ReplClusterOptions options)
     ropts.missed_heartbeats = options_.missed_heartbeats;
     ropts.server_options.write_quorum = options_.write_quorum;
     ropts.server_options.cluster_size = options_.nodes;
-    ropts.server_options.quorum_ack_local = options_.quorum_ack_local;
-    ropts.server_options.quorum_attempts = options_.quorum_attempts;
     nodes_.push_back(std::make_unique<ReplicaServer>(realm_.get(), ropts));
   }
   // All-to-all peer wiring through the partition matrix, then the initial

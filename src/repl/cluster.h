@@ -72,8 +72,6 @@ struct ReplClusterOptions {
   // Quorum configuration stamped into every node's embedded server.
   // write_quorum 0 = majority of cluster_size (= nodes).
   int write_quorum = 0;
-  bool quorum_ack_local = false;
-  int quorum_attempts = 3;
   UnixTime start_time = 568000000;
 };
 

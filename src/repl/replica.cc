@@ -11,6 +11,12 @@
 namespace moira {
 namespace {
 
+// Batch size of one kReplFetch round trip.
+constexpr int kMaxEntriesPerFetch = 256;
+// A read whose token is ahead of applied_seq "waits briefly": up to this many
+// on-demand fetch batches before answering MR_REPL_BEHIND.
+constexpr int kReadCatchUpBatches = 4;
+
 std::string SingleReply(int32_t code) {
   return EncodeReply(MrReply{kMrProtocolVersion, code, {}});
 }
@@ -312,7 +318,7 @@ int32_t ReplicaServer::CatchUpInternal(uint64_t target_seq, int max_batches) {
     // flapped link heals.  Split-brain safety never rests on this floor; the
     // push and vote paths check the full VoteFloor.
     int32_t code = link_->ReplFetch(
-        options_.name, applied_seq_ + 1, options_.max_entries_per_fetch, epoch_,
+        options_.name, applied_seq_ + 1, kMaxEntriesPerFetch, epoch_,
         [&](Tuple tuple) {
           std::optional<JournalEntry> entry =
               tuple.empty() ? std::nullopt : JournalEntry::FromLine(tuple[0]);
@@ -470,7 +476,7 @@ ReplicaServer::HeartbeatEvent ReplicaServer::HeartbeatTick() {
         const uint64_t peer_epoch =
             static_cast<uint64_t>(ParseInt(f[1]).value_or(0));
         if (peer_epoch > server_->journal().epoch()) {
-          server_->Fence(peer_epoch);
+          server_->Fence();
           StepDown();
           return HeartbeatEvent::kSteppedDown;
         }
@@ -821,9 +827,9 @@ std::string ReplicaServer::OnMessage(uint64_t conn_id, std::string_view payload)
         if (want > applied_seq_) {
           // Behind the caller's token: wait briefly (a bounded on-demand
           // pull) before giving up and redirecting them to the primary.
-          if (options_.catch_up_on_read && link_ != nullptr) {
+          if (link_ != nullptr) {
             ++stats_.read_catch_ups;
-            CatchUpInternal(want, options_.read_catch_up_batches);
+            CatchUpInternal(want, kReadCatchUpBatches);
           }
           if (want > applied_seq_) {
             ++stats_.reads_behind;

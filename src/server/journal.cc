@@ -176,26 +176,12 @@ std::optional<JournalEntry> JournalEntry::FromLine(std::string_view line) {
   return entry;
 }
 
-void Journal::SetFile(std::string path) {
-  dir_.clear();
-  segments_.clear();
-  live_first_seq_ = live_last_seq_ = 0;
-  live_count_ = 0;
-  file_path_ = std::move(path);
-  file_.close();
-  file_.clear();
-  if (!file_path_.empty()) {
-    file_.open(file_path_, std::ios::app | std::ios::binary);
-  }
-}
-
 std::string Journal::LivePath() const { return (fs::path(dir_) / kLiveName).string(); }
 
 void Journal::OpenLive() {
-  file_path_ = LivePath();
   file_.close();
   file_.clear();
-  file_.open(file_path_, std::ios::app | std::ios::binary);
+  file_.open(LivePath(), std::ios::app | std::ios::binary);
 }
 
 int Journal::LoadOneFile(const std::string& path, uint64_t after_seq, bool track_live) {
@@ -369,40 +355,24 @@ uint64_t Journal::Append(JournalEntry entry) {
     // restart.
     file_ << entry.ToLine();
     file_.flush();
-    if (!dir_.empty()) {
-      if (live_first_seq_ == 0) {
-        live_first_seq_ = entry.seq;
-      }
-      live_last_seq_ = entry.seq;
-      ++live_count_;
+    if (live_first_seq_ == 0) {
+      live_first_seq_ = entry.seq;
     }
+    live_last_seq_ = entry.seq;
+    ++live_count_;
   }
   uint64_t seq = entry.seq;
   entries_.push_back(std::move(entry));
   return seq;
 }
 
-std::vector<JournalEntry> Journal::EntriesSince(UnixTime since) const {
-  std::vector<JournalEntry> out;
-  for (const JournalEntry& entry : entries_) {
-    if (entry.when > since) {
-      out.push_back(entry);
-    }
-  }
-  return out;
-}
-
 std::vector<JournalEntry> Journal::EntriesFromSeq(uint64_t from_seq, size_t max) const {
-  std::vector<JournalEntry> out;
-  for (const JournalEntry& entry : entries_) {
-    if (entry.seq >= from_seq) {
-      out.push_back(entry);
-      if (out.size() >= max) {
-        break;
-      }
-    }
-  }
-  return out;
+  auto first = std::lower_bound(
+      entries_.begin(), entries_.end(), from_seq,
+      [](const JournalEntry& entry, uint64_t seq) { return entry.seq < seq; });
+  const size_t available = static_cast<size_t>(entries_.end() - first);
+  return std::vector<JournalEntry>(
+      first, first + static_cast<std::ptrdiff_t>(std::min(max, available)));
 }
 
 uint64_t Journal::first_seq() const {
@@ -410,6 +380,7 @@ uint64_t Journal::first_seq() const {
 }
 
 size_t Journal::TruncateThrough(uint64_t through) {
+  uint64_t cut = through;
   if (!dir_.empty()) {
     // Disk-backed truncation at segment granularity: seal the live file when
     // the cut covers all of it, delete fully-covered sealed segments, and
@@ -418,46 +389,29 @@ size_t Journal::TruncateThrough(uint64_t through) {
     if (live_first_seq_ != 0 && through >= live_last_seq_) {
       Rotate();
     }
-    uint64_t effective = base_seq_;
+    cut = base_seq_;
     auto it = segments_.begin();
     while (it != segments_.end() && it->last_seq <= through) {
       std::error_code ec;
       fs::remove(it->path, ec);
-      effective = std::max(effective, it->last_seq);
+      cut = std::max(cut, it->last_seq);
       it = segments_.erase(it);
     }
-    auto keep_from = entries_.begin();
-    while (keep_from != entries_.end() && keep_from->seq <= effective) {
-      ++keep_from;
-    }
-    size_t dropped = static_cast<size_t>(keep_from - entries_.begin());
-    entries_.erase(entries_.begin(), keep_from);
-    if (effective > base_seq_) {
-      base_seq_ = effective;
-    }
-    return dropped;
   }
-  size_t dropped = 0;
-  while (!entries_.empty() && entries_.front().seq <= through) {
-    ++dropped;
-    if (entries_.front().seq > base_seq_) {
-      base_seq_ = entries_.front().seq;
-    }
-    entries_.erase(entries_.begin());
+  auto keep_from = std::upper_bound(
+      entries_.begin(), entries_.end(), cut,
+      [](uint64_t seq, const JournalEntry& entry) { return seq < entry.seq; });
+  const size_t dropped = static_cast<size_t>(keep_from - entries_.begin());
+  if (dropped > 0 && entries_[dropped - 1].seq > base_seq_) {
+    base_seq_ = entries_[dropped - 1].seq;
   }
-  if (through > base_seq_ && through <= last_seq_) {
-    base_seq_ = through;
+  entries_.erase(entries_.begin(), keep_from);
+  // In memory the cut itself becomes the base (never past last_seq); on disk
+  // it is already the highest retired boundary.
+  if (cut > base_seq_ && (!dir_.empty() || cut <= last_seq_)) {
+    base_seq_ = cut;
   }
   return dropped;
-}
-
-void Journal::ResetSequence(uint64_t next_seq) {
-  if (next_seq > 0 && next_seq - 1 > last_seq_) {
-    last_seq_ = next_seq - 1;
-  }
-  if (base_seq_ < last_seq_ && entries_.empty()) {
-    base_seq_ = last_seq_;
-  }
 }
 
 void Journal::RebaseTo(uint64_t next_seq) {
@@ -481,49 +435,11 @@ void Journal::Clear() {
     file_.close();
     file_.clear();
     // Truncate the live file so restart cannot resurrect cleared entries.
-    file_.open(file_path_, std::ios::trunc | std::ios::binary);
-    file_.close();
-    file_.clear();
-    file_.open(file_path_, std::ios::app | std::ios::binary);
+    file_.open(LivePath(), std::ios::trunc | std::ios::binary);
+    OpenLive();
     live_first_seq_ = live_last_seq_ = 0;
     live_count_ = 0;
   }
-}
-
-int Journal::LoadFile(const std::string& path) {
-  const bool was_empty = entries_.empty();
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return -1;
-  }
-  int count = 0;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) {
-      continue;
-    }
-    if (std::optional<JournalEntry> entry = JournalEntry::FromLine(line)) {
-      if (entry->seq > last_seq_) {
-        last_seq_ = entry->seq;
-      }
-      if (entry->epoch > epoch_) {
-        epoch_ = entry->epoch;
-      }
-      entries_.push_back(std::move(*entry));
-      ++count;
-    } else {
-      // A torn write (crash mid-append) leaves a short final line; count it
-      // rather than silently dropping it so operators can see data loss.
-      ++corrupt_lines_skipped_;
-    }
-  }
-  // A file that starts past seq 1 was truncated/rotated before it was
-  // written; restore base_seq_ so a restarted primary refuses to stream the
-  // missing prefix (MR_REPL_TRUNCATED) instead of sending a gapped range.
-  if (was_empty && !entries_.empty() && entries_.front().seq - 1 > base_seq_) {
-    base_seq_ = entries_.front().seq - 1;
-  }
-  return count;
 }
 
 // --- Checkpoint directory naming --------------------------------------------

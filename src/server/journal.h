@@ -2,8 +2,10 @@
 // the Moira server daemon contains a listing of all successful changes to the
 // database", improving on the nightly backup by bounding transaction loss.
 //
-// Entries are kept in memory and optionally appended to a journal file, one
-// escaped line per change; mrrestore can replay entries newer than a backup.
+// Entries are kept in memory and, once attached to a data directory, appended
+// to its live changelog file, one escaped line per change; mrrestore can
+// replay entries newer than a backup.  A journal never attached to a
+// directory (replica-embedded, tests) is memory-only.
 //
 // The journal doubles as the replication log (src/repl): every committed
 // entry carries a monotone sequence number assigned at append time, replicas
@@ -78,11 +80,6 @@ class Journal {
  public:
   Journal() = default;
 
-  // If set, every entry is also appended to this file.  The stream is kept
-  // open and flushed after every append (see Append).  Legacy single-file
-  // mode: rotation and on-disk truncation need a directory (below).
-  void SetFile(std::string path);
-
   // Attaches the journal to a data directory and recovers it from what is on
   // disk: sealed segments and the live file are scanned in order, every entry
   // with seq > after_seq is loaded into memory (entries at or below
@@ -94,7 +91,7 @@ class Journal {
   // directory cannot be created or read.
   int AttachDirectory(const std::string& dir, uint64_t after_seq = 0);
 
-  // Directory-mode root ("" when unattached or in single-file mode).
+  // Directory-mode root ("" for a memory-only journal).
   const std::string& directory() const { return dir_; }
 
   // Seals the live file into journal.<first>-<last> and reopens an empty
@@ -119,17 +116,14 @@ class Journal {
       uint64_t through_seq = UINT64_MAX);
 
   // Records one entry.  Assigns the next sequence number when entry.seq is 0
-  // (entries carrying a seq — e.g. reloaded from disk — keep it and advance
-  // the counter past it).  When a journal file is attached the line is
-  // written and flushed before this returns, so an entry is durable before it
-  // is acknowledged to the client or streamed to a replica.  Returns the
-  // entry's sequence number.
+  // (entries carrying a seq keep it and advance the counter past it; seqs
+  // must ascend, since lookups binary-search the retained entries).  In
+  // directory mode the line is written and flushed before this returns, so
+  // an entry is durable before it is acknowledged to the client or streamed
+  // to a replica.  Returns the entry's sequence number.
   uint64_t Append(JournalEntry entry);
 
   const std::vector<JournalEntry>& entries() const { return entries_; }
-
-  // Entries recorded strictly after `since`.
-  std::vector<JournalEntry> EntriesSince(UnixTime since) const;
 
   // Up to `max` retained entries with seq >= from_seq, in order.
   std::vector<JournalEntry> EntriesFromSeq(uint64_t from_seq,
@@ -154,17 +148,13 @@ class Journal {
   // entries dropped from memory.
   size_t TruncateThrough(uint64_t through);
 
-  // Failover promotion: continue numbering from `next_seq` so the promoted
-  // replica's first post-failover entry extends the old primary's sequence.
-  void ResetSequence(uint64_t next_seq);
-
-  // Hard reset for a demoted-and-re-promoted embedded journal: drops every
-  // retained entry and restarts numbering at `next_seq`, treating entries
-  // 1..next_seq-1 as cluster history this server does not hold (base_seq
-  // moves to next_seq - 1).  Unlike ResetSequence this also moves the
-  // counter BACKWARD, discarding a dead reign's unreplicated suffix.  Only
-  // supported for memory-only journals (replica-embedded); directory mode is
-  // not rebased.
+  // Failover promotion of a replica-embedded journal: drops every retained
+  // entry and restarts numbering at `next_seq`, so the first post-failover
+  // entry extends the old primary's sequence; entries 1..next_seq-1 are
+  // cluster history this server does not hold (base_seq moves to
+  // next_seq - 1).  The counter may also move BACKWARD, discarding a dead
+  // reign's unreplicated suffix.  Only supported for memory-only journals;
+  // directory mode is not rebased.
   void RebaseTo(uint64_t next_seq);
 
   // Replication epoch stamped onto appended entries.  Starts at 1; a
@@ -179,14 +169,8 @@ class Journal {
   // emptied, so disk matches memory.
   void Clear();
 
-  // Loads entries from a journal file (does not clear existing ones).
-  // Returns the number of entries read, or -1 if the file cannot be opened.
-  // Unparsable lines — e.g. a torn final line from a crash mid-append — are
-  // skipped and counted in corrupt_lines_skipped().  When the journal was
-  // empty and the file starts past seq 1 (a truncated/rotated journal),
-  // base_seq_ is restored to first_seq - 1 so a restarted primary reports
-  // MR_REPL_TRUNCATED instead of streaming a gapped range.
-  int LoadFile(const std::string& path);
+  // Unparsable lines AttachDirectory skipped — e.g. a torn final line from a
+  // crash mid-append.
   int corrupt_lines_skipped() const { return corrupt_lines_skipped_; }
 
  private:
@@ -198,15 +182,14 @@ class Journal {
   // records the file's first/last seq and line count as the live-file state.
   int LoadOneFile(const std::string& path, uint64_t after_seq, bool track_live);
 
-  std::vector<JournalEntry> entries_;
-  std::string file_path_;
+  std::vector<JournalEntry> entries_;  // ascending by seq
   std::ofstream file_;
   uint64_t last_seq_ = 0;
   uint64_t base_seq_ = 0;  // entries 1..base_seq_ have been truncated
   uint64_t epoch_ = 1;     // current replication epoch (monotone)
   int corrupt_lines_skipped_ = 0;
 
-  // Directory mode (empty dir_ = legacy single-file or memory-only mode).
+  // Directory mode (empty dir_ = memory-only).
   std::string dir_;
   std::vector<JournalSegment> segments_;
   uint64_t live_first_seq_ = 0;  // 0 = live file holds no entries

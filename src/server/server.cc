@@ -10,6 +10,13 @@
 namespace moira {
 namespace {
 
+// Applied idempotency tags remembered for replay dedup (FIFO eviction).
+constexpr size_t kIdempotencyWindow = 4096;
+// Bounded wait: push sweeps over unacked peers before the quorum gate gives
+// up.  Each sweep re-ships the window a peer is missing, so this also bounds
+// the catch-up work a slow peer can demand on the ack path.
+constexpr int kQuorumSweeps = 3;
+
 std::string SingleReply(int32_t code) {
   return EncodeReply(MrReply{kMrProtocolVersion, code, {}});
 }
@@ -346,7 +353,7 @@ std::string MoiraServer::HandleReplFetch(ConnState& conn, const MrRequest& reque
       return SingleReply(MR_ARGS);
     }
     if (static_cast<uint64_t>(*replica_epoch) > journal_.epoch()) {
-      Fence(static_cast<uint64_t>(*replica_epoch));
+      Fence();
     }
   }
   if (fenced_) {
@@ -478,7 +485,7 @@ std::string MoiraServer::HandleReplPush(ConnState& conn, const MrRequest& reques
     return SingleReply(MR_ARGS);
   }
   if (static_cast<uint64_t>(*push_epoch) > journal_.epoch()) {
-    Fence(static_cast<uint64_t>(*push_epoch));
+    Fence();
   }
   ++quorum_stats_.fence_refusals;
   return EncodeReply(MrReply{kMrProtocolVersion, MR_REPL_EPOCH,
@@ -513,18 +520,8 @@ int32_t MoiraServer::CheckConnPrivilege(uint64_t conn_id, const std::string& que
   return CachedAccessCheck(it->second, query, {});
 }
 
-void MoiraServer::Fence(uint64_t newer_epoch) {
-  if (!fenced_) {
-    fenced_ = true;
-    if (quorum_alarm_) {
-      quorum_alarm_("fenced: epoch " + std::to_string(newer_epoch) +
-                    " supersedes " + std::to_string(journal_.epoch()));
-    }
-  }
-}
-
 void MoiraServer::RecordAppliedTag(const std::string& tag, uint64_t seq) {
-  if (tag.empty() || options_.idempotency_window == 0) {
+  if (tag.empty()) {
     return;
   }
   auto [it, inserted] = applied_tags_.emplace(tag, seq);
@@ -532,7 +529,7 @@ void MoiraServer::RecordAppliedTag(const std::string& tag, uint64_t seq) {
     return;  // first application wins; replays keep acking the original seq
   }
   tag_order_.push_back(tag);
-  while (tag_order_.size() > options_.idempotency_window) {
+  while (tag_order_.size() > kIdempotencyWindow) {
     applied_tags_.erase(tag_order_.front());
     tag_order_.pop_front();
   }
@@ -549,8 +546,7 @@ int32_t MoiraServer::QuorumGate(uint64_t target_seq) {
   const int needed =
       options_.write_quorum > 0 ? options_.write_quorum : (cluster + 1) / 2;
   const uint64_t epoch = journal_.epoch();
-  const int attempts = options_.quorum_attempts > 0 ? options_.quorum_attempts : 1;
-  for (int sweep = 0; sweep < attempts; ++sweep) {
+  for (int sweep = 0; sweep < kQuorumSweeps; ++sweep) {
     int acks = 1;  // self: Journal::Append flushed before we got here
     for (QuorumPeer* peer : quorum_peers_) {
       uint64_t& acked = peer_acked_[peer->name()];
@@ -570,7 +566,7 @@ int32_t MoiraServer::QuorumGate(uint64_t target_seq) {
         int32_t probe = peer->Push(epoch, journal_.base_seq(), 0, {}, &probed,
                                    &probe_epoch);
         if (probe == MR_REPL_EPOCH) {
-          Fence(probe_epoch);
+          Fence();
           ++quorum_stats_.fence_refusals;
           return MR_REPL_EPOCH;
         }
@@ -591,10 +587,8 @@ int32_t MoiraServer::QuorumGate(uint64_t target_seq) {
         }
       }
       std::vector<std::string> lines;
-      for (const JournalEntry& entry : journal_.EntriesFromSeq(acked + 1)) {
-        if (entry.seq > target_seq) {
-          break;
-        }
+      for (const JournalEntry& entry :
+           journal_.EntriesFromSeq(acked + 1, static_cast<size_t>(target_seq - acked))) {
         lines.push_back(entry.ToLine());
       }
       // The predecessor of the window lets the peer verify its applied prefix
@@ -615,7 +609,7 @@ int32_t MoiraServer::QuorumGate(uint64_t target_seq) {
         // The peer has seen a newer primary: we lost an election we did not
         // witness.  Never ack this write — a quorum assembled now could
         // contradict the new primary's history.
-        Fence(peer_epoch);
+        Fence();
         ++quorum_stats_.fence_refusals;
         return MR_REPL_EPOCH;
       }
@@ -644,14 +638,6 @@ int32_t MoiraServer::QuorumGate(uint64_t target_seq) {
       ++quorum_stats_.quorum_acks;
       return MR_SUCCESS;
     }
-  }
-  if (options_.quorum_ack_local) {
-    ++quorum_stats_.degraded_acks;
-    if (quorum_alarm_) {
-      quorum_alarm_("quorum unreachable; acked seq " + std::to_string(target_seq) +
-                    " locally");
-    }
-    return MR_SUCCESS;
   }
   ++quorum_stats_.quorum_timeouts;
   return MR_QUORUM_TIMEOUT;

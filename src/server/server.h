@@ -63,19 +63,6 @@ struct ServerOptions {
   // peers + 1.  A promoted replica sets this so the old primary still counts
   // toward the denominator.
   int cluster_size = 0;
-  // Bounded wait: push sweeps over unacked peers before giving up.  Each
-  // sweep re-ships the window a peer is missing, so this also bounds the
-  // catch-up work a slow peer can demand on the ack path.
-  int quorum_attempts = 3;
-  // Degraded-mode policy when quorum stays unreachable: false = refuse the
-  // ack (client sees MR_QUORUM_TIMEOUT; the write is journalled locally and
-  // may still commit — replaying its tag resolves the ambiguity), true =
-  // acknowledge locally and fire the quorum alarm (availability over
-  // durability; such writes can be lost to failover).
-  bool quorum_ack_local = false;
-  // Applied idempotency tags remembered for replay dedup (FIFO eviction);
-  // 0 disables tag recording.
-  size_t idempotency_window = 4096;
 };
 
 // One push target of the quorum gate: ships journal lines primary -> replica
@@ -124,16 +111,10 @@ class MoiraServer final : public MessageHandler {
   // members (counting this server) have durably applied it.
   void SetQuorumPeers(std::vector<QuorumPeer*> peers);
 
-  // Called when quorum is unreachable and the degraded policy acks locally
-  // (the "alarm" of ack-local-with-alarm).
-  void set_quorum_alarm(std::function<void(const std::string&)> alarm) {
-    quorum_alarm_ = std::move(alarm);
-  }
-
   // A fenced primary has observed a newer epoch (a successor was elected);
   // it refuses every further mutation and quorum push with MR_REPL_EPOCH.
   bool fenced() const { return fenced_; }
-  void Fence(uint64_t newer_epoch);
+  void Fence() { fenced_ = true; }
   // Re-arms a fenced server when its owning ReplicaServer is promoted again
   // at a newer epoch (the only legitimate path back to writability).
   void UnfenceAt(uint64_t epoch) {
@@ -146,9 +127,9 @@ class MoiraServer final : public MessageHandler {
   // connection/authentication state.  MR_INTERNAL for an unknown connection.
   int32_t CheckConnPrivilege(uint64_t conn_id, const std::string& query);
 
-  // Records an applied idempotency tag -> seq (FIFO-bounded by
-  // ServerOptions::idempotency_window).  Also called by ReplicaServer while
-  // replaying journal entries, so replayed-tag dedup survives a failover.
+  // Records an applied idempotency tag -> seq (the newest 4096 tags are
+  // kept, FIFO).  Also called by ReplicaServer while replaying journal
+  // entries, so replayed-tag dedup survives a failover.
   void RecordAppliedTag(const std::string& tag, uint64_t seq);
 
   // Invalidates per-connection access caches.  Called by the replication
@@ -190,8 +171,7 @@ class MoiraServer final : public MessageHandler {
     uint64_t quorum_acks = 0;      // ... that reached quorum
     uint64_t push_rounds = 0;      // individual peer pushes attempted
     uint64_t push_failures = 0;    // pushes that failed or fell short
-    uint64_t quorum_timeouts = 0;  // gate gave up (refuse policy)
-    uint64_t degraded_acks = 0;    // gate gave up but acked locally (alarm)
+    uint64_t quorum_timeouts = 0;  // gate gave up: MR_QUORUM_TIMEOUT
     uint64_t fence_refusals = 0;   // mutations/pushes refused while fenced
     uint64_t tag_hits = 0;         // tagged replays answered from the tag map
   };
@@ -248,8 +228,10 @@ class MoiraServer final : public MessageHandler {
                             const std::vector<std::string>& args);
   // Runs the quorum gate for the journalled write at target_seq: pushes each
   // unacked peer's missing window until write_quorum members hold it or
-  // quorum_attempts sweeps are exhausted.  Returns MR_SUCCESS,
-  // MR_QUORUM_TIMEOUT, or MR_REPL_EPOCH (a peer fenced us).
+  // kQuorumSweeps sweeps are exhausted.  Returns MR_SUCCESS,
+  // MR_QUORUM_TIMEOUT (the write is journalled locally and may still commit;
+  // replaying its tag resolves the ambiguity), or MR_REPL_EPOCH (a peer
+  // fenced us).
   int32_t QuorumGate(uint64_t target_seq);
 
   MoiraContext* mc_;
@@ -273,7 +255,6 @@ class MoiraServer final : public MessageHandler {
   std::vector<QuorumPeer*> quorum_peers_;
   std::map<std::string, uint64_t> peer_acked_;  // peer name -> acked seq
   bool fenced_ = false;
-  std::function<void(const std::string&)> quorum_alarm_;
   QuorumStats quorum_stats_;
   std::map<std::string, uint64_t> applied_tags_;  // idempotency tag -> seq
   std::deque<std::string> tag_order_;             // FIFO eviction order

@@ -97,9 +97,8 @@ TEST_F(EdgeCaseTest, DcmWithNoServicesConfigured) {
 }
 
 TEST_F(EdgeCaseTest, BackupOfEmptyDatabaseRestores) {
-  namespace fs = std::filesystem;
-  fs::path dir = fs::temp_directory_path() / "moira-test" / "empty-dump";
-  fs::remove_all(dir);
+  TestDir root;
+  const std::filesystem::path dir = root / "empty-dump";
   SimulatedClock clock(0);
   Database empty(&clock);
   CreateMoiraSchema(&empty);

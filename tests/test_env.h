@@ -3,9 +3,14 @@
 #define MOIRA_TESTS_TEST_ENV_H_
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <system_error>
+#include <utility>
 #include <vector>
 
 #include "src/comerr/moira_errors.h"
@@ -16,6 +21,58 @@
 #include "src/krb/kerberos.h"
 
 namespace moira {
+
+// A scratch directory private to the running test case, created empty:
+// $TMPDIR/moira-test/<Suite>.<Test>-<pid> ($TMPDIR defaults to /tmp).
+// gtest_discover_tests runs every case as its own process, so test name +
+// pid keeps parallel `ctest -j` runs, concurrent build trees and repeated
+// runs from sharing a directory.  Removed when this object goes out of scope
+// unless KeepAs() was called.
+class TestDir : public std::filesystem::path {
+ public:
+  TestDir() : path(Root() / Name()) {
+    std::filesystem::remove_all(*this);
+    std::filesystem::create_directories(*this);
+  }
+  TestDir(const TestDir&) = delete;
+  TestDir& operator=(const TestDir&) = delete;
+
+  ~TestDir() {
+    std::error_code ec;
+    if (!keep_as_.empty()) {
+      // Hand the directory to a later tool under a stable name, replacing an
+      // older copy; if a concurrent run wins the rename, drop ours.
+      const std::filesystem::path dest = Root() / keep_as_;
+      std::filesystem::remove_all(dest, ec);
+      std::filesystem::rename(*this, dest, ec);
+      if (!ec) {
+        return;
+      }
+    }
+    std::filesystem::remove_all(*this, ec);
+  }
+
+  // Leaves the directory behind as $TMPDIR/moira-test/<name> once the test
+  // is over.
+  void KeepAs(std::string name) { keep_as_ = std::move(name); }
+
+ private:
+  static std::filesystem::path Root() {
+    return std::filesystem::temp_directory_path() / "moira-test";
+  }
+
+  static std::string Name() {
+    const ::testing::TestInfo* info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string name = info == nullptr ? "no-test"
+                                       : std::string(info->test_suite_name()) + "." +
+                                             info->name();
+    std::replace(name.begin(), name.end(), '/', '_');  // parameterized cases
+    return name + "-" + std::to_string(::getpid());
+  }
+
+  std::string keep_as_;
+};
 
 // A fresh, seeded, empty Moira database with a simulated clock starting at a
 // realistic 1988 timestamp.

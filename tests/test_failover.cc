@@ -1,6 +1,6 @@
 // Tests for quorum-acknowledged writes and heartbeat-driven automatic
-// failover (src/repl/cluster.h harness): the quorum gate and its degraded
-// modes, elections and epoch fencing (split-brain regressions), asymmetric
+// failover (src/repl/cluster.h harness): the quorum gate and its refusal
+// without quorum, elections and epoch fencing (split-brain regressions), asymmetric
 // partitions and leader stickiness (pre-vote), torn quorum pushes, tagged
 // write replay through the router, DCM read offload over a cluster replica,
 // and the randomized partition/flap/crash sweep against the lost-acked-write
@@ -112,7 +112,7 @@ TEST(FailoverQuorumTest, WriteAcksOnlyAfterMajorityApplied) {
 }
 
 TEST(FailoverQuorumTest, RefusePolicyReturnsSoftErrorWithoutQuorum) {
-  ReplCluster cluster;  // quorum_ack_local = false: refuse
+  ReplCluster cluster;
   // Cut the primary off from both replicas (requests never arrive).
   cluster.net().BlockBoth("n0", "n1");
   cluster.net().BlockBoth("n0", "n2");
@@ -129,23 +129,6 @@ TEST(FailoverQuorumTest, RefusePolicyReturnsSoftErrorWithoutQuorum) {
   EXPECT_EQ(MR_SUCCESS, admin.Query("add_machine", {"ok.mit.edu", "VAX"}, [](Tuple) {}));
   EXPECT_EQ(cluster.node(0)->server().journal().last_seq(),
             cluster.node(1)->applied_seq());
-}
-
-TEST(FailoverQuorumTest, AckLocalPolicyDegradesWithAlarm) {
-  ReplClusterOptions options;
-  options.quorum_ack_local = true;
-  ReplCluster cluster(options);
-  std::vector<std::string> alarms;
-  cluster.node(0)->server().set_quorum_alarm(
-      [&](const std::string& msg) { alarms.push_back(msg); });
-  cluster.net().BlockBoth("n0", "n1");
-  cluster.net().BlockBoth("n0", "n2");
-  MrClient admin = MakeAdmin(cluster, 0);
-  EXPECT_EQ(MR_SUCCESS,
-            admin.Query("add_machine", {"deg.mit.edu", "VAX"}, [](Tuple) {}));
-  EXPECT_EQ(1u, cluster.node(0)->server().quorum_stats().degraded_acks);
-  ASSERT_EQ(1u, alarms.size());
-  EXPECT_NE(alarms[0].find("quorum unreachable"), std::string::npos);
 }
 
 TEST(FailoverQuorumTest, ExplicitWriteQuorumOverridesMajority) {

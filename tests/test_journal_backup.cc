@@ -11,13 +11,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-fs::path TempDir(const char* name) {
-  fs::path dir = fs::temp_directory_path() / "moira-test" / name;
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
-
 // Escaping property sweep: every string survives the round trip, and the
 // escaped form contains no raw colon or newline.
 class EscapeTest : public ::testing::TestWithParam<std::string> {};
@@ -116,23 +109,23 @@ TEST(JournalEntryTest, RejectsMalformedLines) {
 }
 
 TEST(JournalTest, FilePersistenceAndReload) {
-  fs::path dir = TempDir("journal");
-  std::string path = (dir / "journal").string();
+  TestDir dir;
   {
     Journal journal;
-    journal.SetFile(path);
+    ASSERT_EQ(0, journal.AttachDirectory(dir.string()));
     journal.Append(JournalEntry{0, 1, "a", "app", "q1", {"x"}});
     journal.Append(JournalEntry{0, 2, "b", "app", "q2", {}});
   }
   Journal reloaded;
-  EXPECT_EQ(2, reloaded.LoadFile(path));
+  EXPECT_EQ(2, reloaded.AttachDirectory(dir.string()));
   ASSERT_EQ(2u, reloaded.entries().size());
   EXPECT_EQ("q1", reloaded.entries()[0].query);
   // Sequence numbers were assigned at append time and survive the reload.
   EXPECT_EQ(1u, reloaded.entries()[0].seq);
   EXPECT_EQ(2u, reloaded.last_seq());
-  EXPECT_EQ(1u, reloaded.EntriesSince(1).size());
-  EXPECT_EQ(-1, reloaded.LoadFile((dir / "missing").string()));
+  // A directory that cannot be created (its parent is the live file).
+  Journal unattachable;
+  EXPECT_EQ(-1, unattachable.AttachDirectory((dir / "journal" / "sub").string()));
 }
 
 class BackupTest : public MoiraEnv {
@@ -167,7 +160,7 @@ TEST_F(BackupTest, LineToRowRejectsArityAndTypeErrors) {
 
 TEST_F(BackupTest, DumpRestoreRoundTrip) {
   PopulateSomething();
-  fs::path dir = TempDir("dump");
+  TestDir dir;
   int64_t bytes = BackupManager::Dump(*db_, dir);
   ASSERT_GT(bytes, 0);
   // Every relation gets a file.
@@ -202,14 +195,14 @@ TEST_F(BackupTest, DumpRestoreRoundTrip) {
 
 TEST_F(BackupTest, RestoreRefusesNonEmptyDatabase) {
   PopulateSomething();
-  fs::path dir = TempDir("refuse");
+  TestDir dir;
   ASSERT_GT(BackupManager::Dump(*db_, dir), 0);
   EXPECT_EQ(MR_INTERNAL, BackupManager::Restore(db_.get(), dir));
 }
 
 TEST_F(BackupTest, NightlyRotationKeepsThree) {
   PopulateSomething();
-  fs::path root = TempDir("rotate");
+  TestDir root;
   ASSERT_GT(BackupManager::RotateAndDump(*db_, root), 0);
   ASSERT_EQ(MR_SUCCESS, RunRoot("add_machine", {"second.mit.edu", "VAX"}));
   ASSERT_GT(BackupManager::RotateAndDump(*db_, root), 0);
@@ -230,7 +223,7 @@ TEST_F(BackupTest, NightlyRotationKeepsThree) {
 
 TEST_F(BackupTest, JournalReplayRecoversPostBackupChanges) {
   PopulateSomething();
-  fs::path dir = TempDir("replay");
+  TestDir dir;
   ASSERT_GT(BackupManager::Dump(*db_, dir), 0);
   // Changes after the dump, captured in a journal.
   Journal journal;

@@ -2,13 +2,13 @@
 // sequence/durability semantics, replica catch-up and snapshot fallback,
 // client read routing with read-your-writes tokens, failover promotion, and
 // convergence under seeded faults.
-#include <filesystem>
 #include <fstream>
 #include <memory>
 
 #include "src/backup/backup.h"
 #include "src/client/client.h"
 #include "src/common/random.h"
+#include "src/repl/cluster.h"
 #include "src/repl/repl_fault.h"
 #include "src/repl/replica.h"
 #include "src/repl/router.h"
@@ -19,16 +19,7 @@
 namespace moira {
 namespace {
 
-namespace fs = std::filesystem;
-
-fs::path TempDir(const char* name) {
-  fs::path dir = fs::temp_directory_path() / "moira-test" / name;
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
-
-// --- Journal sequence, durability, and torn-write handling ---
+// --- Journal sequence and durability ---
 
 TEST(JournalReplTest, SequenceNumbersAreMonotone) {
   Journal journal;
@@ -47,6 +38,9 @@ TEST(JournalReplTest, EntriesFromSeqAndTruncation) {
   EXPECT_EQ(4u, journal.EntriesFromSeq(7).size());
   EXPECT_EQ(2u, journal.EntriesFromSeq(7, 2).size());
   EXPECT_EQ("q6", journal.EntriesFromSeq(7)[0].query);
+  EXPECT_EQ(10u, journal.EntriesFromSeq(0).size());  // below first_seq: all
+  EXPECT_TRUE(journal.EntriesFromSeq(11).empty());    // past last_seq
+  EXPECT_TRUE(journal.EntriesFromSeq(3, 0).empty());  // max == 0
   // Prune the first six entries, as after a nightly backup.
   EXPECT_EQ(6u, journal.TruncateThrough(6));
   EXPECT_EQ(6u, journal.base_seq());
@@ -54,53 +48,35 @@ TEST(JournalReplTest, EntriesFromSeqAndTruncation) {
   EXPECT_EQ(10u, journal.last_seq());
   // The retained tail is still streamable; the pruned range is not.
   EXPECT_EQ(4u, journal.EntriesFromSeq(7).size());
+  ASSERT_EQ(2u, journal.EntriesFromSeq(2, 2).size());  // below first_seq
+  EXPECT_EQ(7u, journal.EntriesFromSeq(2, 2)[0].seq);
+  // A cut through the middle of the retained tail.
+  EXPECT_EQ(2u, journal.TruncateThrough(8));
+  EXPECT_EQ(8u, journal.base_seq());
+  EXPECT_EQ(9u, journal.first_seq());
+  // A cut through one past the end drops the rest, but the base never
+  // passes last_seq.
+  EXPECT_EQ(2u, journal.TruncateThrough(11));
+  EXPECT_TRUE(journal.entries().empty());
+  EXPECT_EQ(10u, journal.base_seq());
+  EXPECT_EQ(11u, journal.first_seq());
   // Appends continue the sequence.
   EXPECT_EQ(11u, journal.Append(JournalEntry{0, 200, "p", "c", "q", {}}));
 }
 
-TEST(JournalReplTest, ResetSequenceContinuesNumbering) {
-  Journal journal;
-  journal.ResetSequence(41);
-  EXPECT_EQ(41u, journal.Append(JournalEntry{0, 10, "p", "c", "q", {}}));
-  EXPECT_EQ(42u, journal.Append(JournalEntry{0, 11, "p", "c", "q", {}}));
-}
-
 TEST(JournalReplTest, AppendIsDurableBeforeAck) {
-  fs::path dir = TempDir("repl-durable");
-  std::string path = (dir / "journal").string();
+  TestDir dir;
   Journal journal;
-  journal.SetFile(path);
+  ASSERT_EQ(0, journal.AttachDirectory(dir.string()));
   journal.Append(JournalEntry{0, 123, "p", "c", "q", {"a"}});
   // The stream is still open; the line must already be flushed to the file.
-  std::ifstream in(path);
+  std::ifstream in(dir / "journal");
   std::string line;
   ASSERT_TRUE(std::getline(in, line));
   std::optional<JournalEntry> entry = JournalEntry::FromLine(line);
   ASSERT_TRUE(entry.has_value());
   EXPECT_EQ(1u, entry->seq);
   EXPECT_EQ("q", entry->query);
-}
-
-TEST(JournalReplTest, TornTrailingLineSkippedOnReload) {
-  fs::path dir = TempDir("repl-torn");
-  std::string path = (dir / "journal").string();
-  {
-    Journal journal;
-    journal.SetFile(path);
-    journal.Append(JournalEntry{0, 100, "p", "c", "q1", {"x"}});
-    journal.Append(JournalEntry{0, 101, "p", "c", "q2", {"y"}});
-  }
-  {
-    // A crash mid-append leaves a torn final line.
-    std::ofstream out(path, std::ios::app | std::ios::binary);
-    out << "3:10";
-  }
-  Journal reloaded;
-  EXPECT_EQ(2, reloaded.LoadFile(path));
-  EXPECT_EQ(1, reloaded.corrupt_lines_skipped());
-  ASSERT_EQ(2u, reloaded.entries().size());
-  EXPECT_EQ(2u, reloaded.last_seq());
-  EXPECT_EQ("q2", reloaded.entries()[1].query);
 }
 
 TEST(JournalReplTest, LineFuzzRoundTrip) {
@@ -161,28 +137,6 @@ TEST(JournalReplTest, LineFuzzRoundTrip) {
   }
 }
 
-TEST(JournalReplTest, LoadFileRestoresBaseSeq) {
-  // A journal file that starts past seq 1 was truncated/rotated before it
-  // was written.  Reloading it must restore base_seq, or a restarted primary
-  // passes the truncation check and streams a gapped range to replicas
-  // instead of MR_REPL_TRUNCATED (see HandleReplFetch).
-  fs::path dir = TempDir("repl-baseseq");
-  std::string path = (dir / "journal").string();
-  {
-    std::ofstream out(path, std::ios::binary);
-    for (uint64_t seq = 5; seq <= 8; ++seq) {
-      out << JournalEntry{seq, 100, "p", "c", "q", {}}.ToLine();
-    }
-  }
-  Journal reloaded;
-  ASSERT_EQ(4, reloaded.LoadFile(path));
-  EXPECT_EQ(4u, reloaded.base_seq());
-  EXPECT_EQ(5u, reloaded.first_seq());
-  EXPECT_EQ(8u, reloaded.last_seq());
-  // A replica asking for the missing prefix hits the truncation guard.
-  EXPECT_TRUE(1u <= reloaded.base_seq());
-}
-
 // --- Replication over the wire ---
 
 class ReplTest : public MoiraEnv {
@@ -210,13 +164,14 @@ class ReplTest : public MoiraEnv {
     return [handler] { return std::make_unique<LoopbackChannel>(handler); };
   }
 
+  // A replica pulling from the primary over `link` (default: a plain
+  // loopback connector).
   std::unique_ptr<ReplicaServer> MakeReplica(const std::string& name,
-                                             bool catch_up_on_read = true) {
+                                             MrClient::Connector link = nullptr) {
     ReplicaOptions options;
     options.name = name;
-    options.catch_up_on_read = catch_up_on_read;
     auto replica = std::make_unique<ReplicaServer>(realm_.get(), options);
-    replica->SetPrimaryLink(PrimaryConnector(), "root", "rootpw");
+    replica->SetPrimaryLink(link ? std::move(link) : PrimaryConnector(), "root", "rootpw");
     return replica;
   }
 
@@ -348,11 +303,16 @@ TEST_F(ReplTest, BehindReplicaRedirectsToPrimary) {
   primary_client->SetKerberosIdentity(realm_.get(), "root", "rootpw");
   ASSERT_EQ(MR_SUCCESS, primary_client->Connect());
   ASSERT_EQ(MR_SUCCESS, primary_client->Auth("ops"));
-  // This replica cannot catch up on demand: behind tokens redirect.
-  std::unique_ptr<ReplicaServer> replica = MakeReplica("r1", /*catch_up_on_read=*/false);
+  // The replica's link to the primary runs through a partition the test
+  // cuts after the initial catch-up, so its on-demand pull cannot reach the
+  // primary: behind tokens redirect.
+  NetworkPartition net;
+  std::unique_ptr<ReplicaServer> replica =
+      MakeReplica("r1", net.Connector("r1", "primary", primary_.get()));
   ASSERT_EQ(MR_SUCCESS, replica->CatchUp());
   ReplicatedClient router(std::move(primary_client));
   router.AddReplica(MakeReadClient(replica.get()));
+  net.BlockBoth("r1", "primary");
   ASSERT_EQ(MR_SUCCESS, router.Query("add_machine", {"rd.mit.edu", "VAX"}, [](Tuple) {}));
   std::vector<Tuple> tuples;
   ASSERT_EQ(MR_SUCCESS, router.Query("get_machine", {"RD.MIT.EDU"}, [&](Tuple t) {
@@ -361,8 +321,11 @@ TEST_F(ReplTest, BehindReplicaRedirectsToPrimary) {
   ASSERT_EQ(1u, tuples.size());  // read-your-writes held, via the primary
   EXPECT_EQ(1u, router.stats().redirects);
   EXPECT_EQ(1u, router.stats().primary_reads);
+  EXPECT_EQ(1u, replica->stats().read_catch_ups);
   EXPECT_EQ(1u, replica->stats().reads_behind);
-  // Once the replica catches up, the same token is satisfiable locally.
+  // Once the link heals and the replica catches up, the same token is
+  // satisfiable locally.
+  net.HealAll();
   ASSERT_EQ(MR_SUCCESS, replica->CatchUp());
   ASSERT_EQ(MR_SUCCESS, router.Query("get_machine", {"RD.MIT.EDU"}, [](Tuple) {}));
   EXPECT_EQ(1u, router.stats().replica_reads);

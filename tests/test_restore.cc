@@ -23,13 +23,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-fs::path TempDir(const char* name) {
-  fs::path dir = fs::temp_directory_path() / "moira-test" / name;
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
-
 JournalEntry MakeEntry(UnixTime when, const std::string& query) {
   return JournalEntry{0, when, "p", "c", query, {}};
 }
@@ -53,7 +46,7 @@ void ExpectDiskMatchesMemory(const Journal& journal, const fs::path& dir) {
 // --- Journal directory mode: rotation, truncation, recovery ---
 
 TEST(JournalDirTest, RotateSealsLiveIntoNamedSegment) {
-  fs::path dir = TempDir("dir-rotate");
+  TestDir dir;
   Journal journal;
   ASSERT_EQ(0, journal.AttachDirectory(dir.string()));
   for (int i = 1; i <= 3; ++i) {
@@ -74,7 +67,7 @@ TEST(JournalDirTest, RotateSealsLiveIntoNamedSegment) {
 }
 
 TEST(JournalDirTest, AutoRotateAtThreshold) {
-  fs::path dir = TempDir("dir-auto-rotate");
+  TestDir dir;
   Journal journal;
   ASSERT_EQ(0, journal.AttachDirectory(dir.string()));
   journal.set_rotate_threshold(4);
@@ -90,7 +83,7 @@ TEST(JournalDirTest, AutoRotateAtThreshold) {
 }
 
 TEST(JournalDirTest, TruncateRetiresWholeSegmentsOnDisk) {
-  fs::path dir = TempDir("dir-truncate");
+  TestDir dir;
   Journal journal;
   ASSERT_EQ(0, journal.AttachDirectory(dir.string()));
   journal.set_rotate_threshold(3);
@@ -113,7 +106,7 @@ TEST(JournalDirTest, TruncateRetiresWholeSegmentsOnDisk) {
 }
 
 TEST(JournalDirTest, TruncateMidSegmentKeepsWholeSegment) {
-  fs::path dir = TempDir("dir-truncate-mid");
+  TestDir dir;
   Journal journal;
   ASSERT_EQ(0, journal.AttachDirectory(dir.string()));
   journal.set_rotate_threshold(3);
@@ -130,7 +123,7 @@ TEST(JournalDirTest, TruncateMidSegmentKeepsWholeSegment) {
 }
 
 TEST(JournalDirTest, TruncateCoveringLiveSealsItFirst) {
-  fs::path dir = TempDir("dir-truncate-live");
+  TestDir dir;
   Journal journal;
   ASSERT_EQ(0, journal.AttachDirectory(dir.string()));
   for (int i = 1; i <= 5; ++i) {
@@ -154,7 +147,7 @@ TEST(JournalDirTest, TruncateCoveringLiveSealsItFirst) {
 }
 
 TEST(JournalDirTest, ClearWipesDisk) {
-  fs::path dir = TempDir("dir-clear");
+  TestDir dir;
   Journal journal;
   ASSERT_EQ(0, journal.AttachDirectory(dir.string()));
   journal.set_rotate_threshold(2);
@@ -171,7 +164,7 @@ TEST(JournalDirTest, ClearWipesDisk) {
 }
 
 TEST(JournalDirTest, AttachRecoversAcrossSegmentsAndLive) {
-  fs::path dir = TempDir("dir-recover");
+  TestDir dir;
   {
     Journal journal;
     ASSERT_EQ(0, journal.AttachDirectory(dir.string()));
@@ -199,7 +192,7 @@ TEST(JournalDirTest, AttachRecoversAcrossSegmentsAndLive) {
 }
 
 TEST(JournalDirTest, TornLiveTailSkippedOnAttach) {
-  fs::path dir = TempDir("dir-torn");
+  TestDir dir;
   {
     Journal journal;
     ASSERT_EQ(0, journal.AttachDirectory(dir.string()));
@@ -220,7 +213,7 @@ TEST(JournalDirTest, TornLiveTailSkippedOnAttach) {
 }
 
 TEST(JournalDirTest, CrashDuringRotationLeavesConsistentState) {
-  fs::path dir = TempDir("dir-crash-rotate");
+  TestDir dir;
   {
     Journal journal;
     ASSERT_EQ(0, journal.AttachDirectory(dir.string()));
@@ -242,7 +235,7 @@ TEST(JournalDirTest, CrashDuringRotationLeavesConsistentState) {
 }
 
 TEST(JournalDirTest, ReadRangeFiltersBySeq) {
-  fs::path dir = TempDir("dir-readrange");
+  TestDir dir;
   Journal journal;
   ASSERT_EQ(0, journal.AttachDirectory(dir.string()));
   journal.set_rotate_threshold(2);
@@ -257,23 +250,12 @@ TEST(JournalDirTest, ReadRangeFiltersBySeq) {
   EXPECT_FALSE(Journal::ReadRange((dir / "nope").string()).has_value());
 }
 
-TEST(JournalDirTest, SetFileAfterAttachDropsDirectoryMode) {
-  fs::path dir = TempDir("dir-setfile");
-  Journal journal;
-  ASSERT_EQ(0, journal.AttachDirectory(dir.string()));
-  journal.Append(MakeEntry(100, "q1"));
-  journal.SetFile((dir / "flat").string());
-  EXPECT_TRUE(journal.directory().empty());
-  journal.Append(MakeEntry(101, "q2"));
-  EXPECT_FALSE(journal.Rotate());
-}
-
 // --- Checkpoint writing, listing, pruning ---
 
 class CheckpointTest : public MoiraEnv {};
 
 TEST_F(CheckpointTest, WriteListLoadRoundTrip) {
-  fs::path root = TempDir("cp-roundtrip");
+  TestDir root;
   AddActiveUser("cpuser", 900);
   ASSERT_TRUE(CheckpointManager::Write(*db_, root.string(), 41));
   ASSERT_TRUE(CheckpointManager::Write(*db_, root.string(), 57));
@@ -298,7 +280,7 @@ TEST_F(CheckpointTest, WriteListLoadRoundTrip) {
 }
 
 TEST_F(CheckpointTest, CrashedWriteIsInvisible) {
-  fs::path root = TempDir("cp-crash");
+  TestDir root;
   ASSERT_TRUE(CheckpointManager::Write(*db_, root.string(), 10));
   // A crash mid-write leaves checkpoint.tmp without a rename: ignored.
   fs::create_directories(root / "checkpoint.tmp");
@@ -318,7 +300,7 @@ TEST_F(CheckpointTest, CrashedWriteIsInvisible) {
 }
 
 TEST_F(CheckpointTest, PruneKeepsNewest) {
-  fs::path root = TempDir("cp-prune");
+  TestDir root;
   for (uint64_t seq : {5u, 10u, 15u, 20u}) {
     ASSERT_TRUE(CheckpointManager::Write(*db_, root.string(), seq));
   }
@@ -343,7 +325,7 @@ class LifecycleTest : public MoiraEnv {
 };
 
 TEST_F(LifecycleTest, PassCheckpointsRotatesAndTruncates) {
-  fs::path root = TempDir("life-pass");
+  TestDir root;
   Journal journal;
   ASSERT_EQ(0, journal.AttachDirectory(root.string()));
   for (int i = 0; i < 4; ++i) {
@@ -374,7 +356,7 @@ TEST_F(LifecycleTest, PassCheckpointsRotatesAndTruncates) {
 }
 
 TEST_F(LifecycleTest, GraceWindowRetainsTail) {
-  fs::path root = TempDir("life-grace");
+  TestDir root;
   Journal journal;
   ASSERT_EQ(0, journal.AttachDirectory(root.string()));
   journal.set_rotate_threshold(2);
@@ -393,7 +375,7 @@ TEST_F(LifecycleTest, GraceWindowRetainsTail) {
 }
 
 TEST_F(LifecycleTest, CronDrivesThePass) {
-  fs::path root = TempDir("life-cron");
+  TestDir root;
   Journal journal;
   ASSERT_EQ(0, journal.AttachDirectory(root.string()));
   JournaledWrite(&journal, "add_machine", {"CRON1.MIT.EDU", "VAX"});
@@ -433,7 +415,7 @@ class RecoveryTest : public LifecycleTest {
 };
 
 TEST_F(RecoveryTest, RecoverReplaysCheckpointPlusTail) {
-  fs::path root = TempDir("rec-replay");
+  TestDir root;
   Journal journal;
   ASSERT_EQ(0, journal.AttachDirectory(root.string()));
   for (int i = 0; i < 3; ++i) {
@@ -463,7 +445,7 @@ TEST_F(RecoveryTest, RecoverReplaysCheckpointPlusTail) {
 }
 
 TEST_F(RecoveryTest, RecoverWithoutCheckpointReplaysFromSeed) {
-  fs::path root = TempDir("rec-nocp");
+  TestDir root;
   Journal journal;
   ASSERT_EQ(0, journal.AttachDirectory(root.string()));
   for (int i = 0; i < 3; ++i) {
@@ -482,7 +464,7 @@ TEST_F(RecoveryTest, RecoverWithoutCheckpointReplaysFromSeed) {
 }
 
 TEST_F(RecoveryTest, RecoverRefusesGappedTail) {
-  fs::path root = TempDir("rec-gap");
+  TestDir root;
   Journal journal;
   ASSERT_EQ(0, journal.AttachDirectory(root.string()));
   journal.set_rotate_threshold(2);
@@ -505,7 +487,10 @@ TEST_F(RecoveryTest, RecoverRefusesGappedTail) {
 }
 
 TEST_F(RecoveryTest, PointInTimeRestoreMatchesReferenceDumps) {
-  fs::path root = TempDir("restore-pit");
+  TestDir root;
+  // scripts/check.sh --restore-smoke replays this data directory through the
+  // offline mrrestore CLI.
+  root.KeepAs("restore-pit");
   Journal journal;
   ASSERT_EQ(0, journal.AttachDirectory(root.string()));
   journal.set_rotate_threshold(2);
@@ -539,7 +524,6 @@ TEST_F(RecoveryTest, PointInTimeRestoreMatchesReferenceDumps) {
 class RestoreE2ETest : public MoiraEnv {
  protected:
   void SetUp() override {
-    root_ = TempDir("restore-e2e");
     options_.data_dir = root_.string();
     primary_ = std::make_unique<MoiraServer>(mc_.get(), realm_.get(), options_);
     ASSERT_EQ(0, primary_->journal().AttachDirectory(root_.string()));
@@ -602,7 +586,7 @@ class RestoreE2ETest : public MoiraEnv {
 
   Database& primary_db() { return restart_db_ ? *restart_db_ : *db_; }
 
-  fs::path root_;
+  TestDir root_;
   ServerOptions options_;
   std::unique_ptr<MoiraServer> primary_;
   std::unique_ptr<SimulatedClock> restart_clock_;

@@ -2,6 +2,7 @@
 // section 5.6.3).
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <tuple>
 
 #include "src/common/strutil.h"
@@ -63,6 +64,13 @@ struct WildcardCase {
   const char* value;
   bool matches;
 };
+
+// Prints the strings, not the struct's raw bytes: those hold the string
+// pointers, which change from one build to the next, and the printed value
+// becomes part of each case's ctest name.
+void PrintTo(const WildcardCase& c, std::ostream* os) {
+  *os << '"' << c.pattern << "\" vs \"" << c.value << '"';
+}
 
 class WildcardTest : public ::testing::TestWithParam<WildcardCase> {};
 
