@@ -149,11 +149,10 @@ ConvergenceSample RunConvergence(bool resilient, int flaky_permille, uint64_t se
   site.dcm->set_resilience(config);
   site.dcm->update_client().set_sleep_fn(
       [&site](UnixTime s) { site.clock.Advance(s); });
-  FaultPlanSpec fault;
-  fault.seed = seed;
-  fault.flaky_permille = flaky_permille;
-  fault.flaky_fail_count = 2;
-  FaultPlan plan(fault);
+  FaultPlan plan;
+  plan.seed = seed;
+  plan.flaky_permille = flaky_permille;
+  plan.flaky_fail_count = 2;
   ConvergenceSample sample{resilient ? "retry+breaker" : "baseline",
                            flaky_permille,
                            seed,
@@ -403,12 +402,11 @@ IncrementalSample RunIncrementalArm(bool incremental, int users) {
   const int churn = std::max(1, users / 1000);  // the paper's 0.1%/pass churn
   const std::vector<std::string>& logins = site.builder->active_logins();
   SplitMix64 rng(4242);
-  FaultPlanSpec fault;
-  fault.seed = 1988;
-  fault.flaky_permille = 80;
-  fault.flaky_fail_count = 1;
-  fault.torn_permille = 25;
-  FaultPlan plan(fault);
+  FaultPlan plan;
+  plan.seed = 1988;
+  plan.flaky_permille = 80;
+  plan.flaky_fail_count = 1;
+  plan.torn_permille = 25;
 
   IncrementalSample s{incremental ? "incremental" : "full",
                       users,

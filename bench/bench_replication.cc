@@ -42,7 +42,6 @@
 #include "src/krb/kerberos.h"
 #include "src/net/channel.h"
 #include "src/repl/cluster.h"
-#include "src/repl/repl_fault.h"
 #include "src/repl/replica.h"
 #include "src/repl/router.h"
 #include "src/server/server.h"
@@ -134,10 +133,9 @@ struct RunResult {
 
 // Runs `rounds` rounds of mixed traffic through the router; every write is
 // immediately followed by a read-your-writes check of the row it created.
-RunResult RunWorkload(int nreplicas, const ReplFaultSpec& fault_spec, int rounds,
+RunResult RunWorkload(int nreplicas, const FaultPlan& plan, int rounds,
                       int writes_per_round, int extra_reads_per_round) {
   ReplSite site(nreplicas);
-  ReplFaultPlan plan(fault_spec);
   RunResult result;
   result.replicas = nreplicas;
   result.rounds = rounds;
@@ -145,7 +143,7 @@ RunResult RunWorkload(int nreplicas, const ReplFaultSpec& fault_spec, int rounds
   SplitMix64 pick(0xb3ac4);
 
   for (int round = 0; round < rounds; ++round) {
-    plan.ArmRound(site.raw, site.realm.get(), round);
+    ArmRound(plan, site.raw, site.realm.get(), round);
     site.clock.Advance(30);
     for (int w = 0; w < writes_per_round; ++w) {
       std::string name =
@@ -219,15 +217,15 @@ constexpr int kRounds = 16;
 constexpr int kWritesPerRound = 5;
 constexpr int kExtraReadsPerRound = 55;
 
-ReplFaultSpec SeededFaults() {
-  ReplFaultSpec spec;
-  spec.seed = 1988;
-  spec.crash_permille = 120;
-  spec.flap_permille = 250;
-  spec.slow_permille = 250;
-  spec.slow_apply_limit = 4;
-  spec.kdc_down_permille = 150;
-  return spec;
+FaultPlan SeededFaults() {
+  FaultPlan plan;
+  plan.seed = 1988;
+  plan.crash_permille = 120;
+  plan.flap_permille = 250;
+  plan.slow_apply_permille = 250;
+  plan.slow_apply_limit = 4;
+  plan.kdc_down_permille = 150;
+  return plan;
 }
 
 // --- Failover sweep: quorum writes + automatic failover under faults ---
@@ -273,17 +271,16 @@ FailoverResult RunFailoverSweep(uint64_t seed, int rounds) {
   router->SetEndpoints(std::move(endpoints), factory, "bench-failover");
   router->EnableTaggedWrites("fb");
 
-  ReplFaultSpec spec;
-  spec.seed = seed;
-  spec.crash_permille = 150;
-  spec.flap_permille = 200;
-  spec.slow_permille = 150;
-  spec.slow_apply_limit = 2;
-  spec.kdc_down_permille = 100;
-  spec.torn_push_permille = 200;
-  spec.partition_permille = 300;
-  spec.asym_partition_permille = 300;
-  ReplFaultPlan plan(spec);
+  FaultPlan plan;
+  plan.seed = seed;
+  plan.crash_permille = 150;
+  plan.flap_permille = 200;
+  plan.slow_apply_permille = 150;
+  plan.slow_apply_limit = 2;
+  plan.kdc_down_permille = 100;
+  plan.torn_push_permille = 200;
+  plan.partition_permille = 300;
+  plan.asym_partition_permille = 300;
 
   std::vector<ReplicaServer*> raw;
   std::vector<std::string> names;
@@ -307,7 +304,7 @@ FailoverResult RunFailoverSweep(uint64_t seed, int rounds) {
   };
 
   for (int round = 0; round < rounds; ++round) {
-    plan.ArmRound(raw, &cluster.realm(), round, &cluster.net(), names);
+    ArmRound(plan, raw, &cluster.realm(), round, &cluster.net(), names);
     for (int tick = 0; tick < 3; ++tick) {
       cluster.Tick();
       observe_primaries();
@@ -469,7 +466,7 @@ bool RunReplicationReport(const char* path) {
   std::printf("Journal-shipping read replication:\n");
 
   // Fault-free scaling sweep: how read throughput grows with replica count.
-  ReplFaultSpec clean;  // all permille at 0
+  FaultPlan clean;  // all permille at 0
   std::vector<RunResult> scaling;
   for (int n : {0, 1, 2, 4}) {
     scaling.push_back(RunWorkload(n, clean, kRounds, kWritesPerRound,
@@ -478,7 +475,7 @@ bool RunReplicationReport(const char* path) {
   }
 
   // The acceptance run: 4 replicas under the seeded fault plan.
-  const ReplFaultSpec faults = SeededFaults();
+  const FaultPlan faults = SeededFaults();
   RunResult faulted = RunWorkload(4, faults, kRounds, kWritesPerRound,
                                   kExtraReadsPerRound);
   PrintRun("seeded faults", faulted);

@@ -146,4 +146,55 @@ void AttachDcmReadSource(Dcm* dcm, ReplicaServer* replica) {
   });
 }
 
+void ArmRound(const FaultPlan& plan, const std::vector<ReplicaServer*>& replicas,
+              KerberosRealm* realm, int round, NetworkPartition* net,
+              const std::vector<std::string>& names) {
+  if (net != nullptr) {
+    net->HealAll();
+  }
+  for (size_t i = 0; i < replicas.size(); ++i) {
+    ReplicaServer* replica = replicas[i];
+    if (replica == nullptr) {
+      continue;
+    }
+    if (replica->crashed()) {
+      replica->Restart();
+    }
+    SplitMix64 rng = plan.Stream(round, i);
+    const bool crash = FaultPlan::Roll(rng, plan.crash_permille);
+    const bool flap = FaultPlan::Roll(rng, plan.flap_permille);
+    const bool slow = FaultPlan::Roll(rng, plan.slow_apply_permille);
+    const bool torn = FaultPlan::Roll(rng, plan.torn_push_permille);
+    if (crash) {
+      replica->Crash();
+      continue;  // a dead replica neither flaps nor applies slowly
+    }
+    if (flap) {
+      replica->DropLink();
+    }
+    if (torn) {
+      replica->ArmTornPush();
+    }
+    replica->set_apply_limit(slow ? plan.slow_apply_limit : 0);
+  }
+  plan.ArmDirectories(realm, nullptr, round);
+  if (net == nullptr || names.size() < 2) {
+    return;
+  }
+  SplitMix64 rng = plan.Stream(round, FaultPlan::kNetworkTarget);
+  auto draw_pair = [&] {  // two distinct node indices
+    const size_t a = static_cast<size_t>(rng.Below(names.size()));
+    const size_t b = static_cast<size_t>(rng.Below(names.size() - 1));
+    return std::make_pair(a, b >= a ? b + 1 : b);
+  };
+  if (FaultPlan::Roll(rng, plan.partition_permille)) {
+    auto [a, b] = draw_pair();
+    net->BlockBoth(names[a], names[b]);
+  }
+  if (FaultPlan::Roll(rng, plan.asym_partition_permille)) {
+    auto [a, b] = draw_pair();
+    net->Block(names[a], names[b]);
+  }
+}
+
 }  // namespace moira

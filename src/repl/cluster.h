@@ -126,6 +126,24 @@ class ReplCluster {
 // partitioned replica degrades rather than breaks propagation.
 void AttachDcmReadSource(Dcm* dcm, ReplicaServer* replica);
 
+// Applies round `round` of `plan` to a replica set (the replica half of the
+// seeded fault plan in src/update/sim_host.h):
+//   - heals the whole partition matrix and reboots replicas crashed in an
+//     earlier round, so cuts and crash outages last exactly one round (a
+//     rebooted replica resynchronizes via a snapshot transfer);
+//   - per replica: crash (stops answering), link flap (the next catch-up
+//     reconnects, re-authenticates and resumes from applied_seq + 1), slow
+//     apply (at most slow_apply_limit entries per catch-up call) and torn
+//     push (the next kReplPush applies half its entries and dies mid-reply;
+//     the pusher must converge by idempotent re-push);
+//   - the KDC outage, as FaultPlan::ArmDirectories draws it;
+//   - one full and one asymmetric partition between nodes named in `names`.
+// `realm` and `net` may be null (those draws are skipped; the per-replica
+// schedule is the same either way).
+void ArmRound(const FaultPlan& plan, const std::vector<ReplicaServer*>& replicas,
+              KerberosRealm* realm, int round, NetworkPartition* net = nullptr,
+              const std::vector<std::string>& names = {});
+
 }  // namespace moira
 
 #endif  // MOIRA_SRC_REPL_CLUSTER_H_

@@ -128,7 +128,7 @@ class ReplicaServer final : public MessageHandler {
   };
   HeartbeatEvent HeartbeatTick();
 
-  // --- fault hooks (seeded ReplFaultPlan) ---
+  // --- fault hooks (seeded FaultPlan, ArmRound in cluster.h) ---
   // Crash: the replica loses its in-memory state and stops serving.
   void Crash() { crashed_ = true; }
   bool crashed() const { return crashed_; }

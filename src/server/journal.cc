@@ -375,6 +375,13 @@ std::vector<JournalEntry> Journal::EntriesFromSeq(uint64_t from_seq, size_t max)
       first, first + static_cast<std::ptrdiff_t>(std::min(max, available)));
 }
 
+uint64_t Journal::EpochAt(uint64_t seq) const {
+  auto it = std::lower_bound(
+      entries_.begin(), entries_.end(), seq,
+      [](const JournalEntry& entry, uint64_t s) { return entry.seq < s; });
+  return it != entries_.end() && it->seq == seq ? it->epoch : 0;
+}
+
 uint64_t Journal::first_seq() const {
   return entries_.empty() ? base_seq_ + 1 : entries_.front().seq;
 }

@@ -128,6 +128,9 @@ class Journal {
   // Up to `max` retained entries with seq >= from_seq, in order.
   std::vector<JournalEntry> EntriesFromSeq(uint64_t from_seq,
                                            size_t max = SIZE_MAX) const;
+  // Epoch of the retained entry with sequence number `seq`; 0 if that entry
+  // is not retained (truncated away, or not yet appended).
+  uint64_t EpochAt(uint64_t seq) const;
 
   // Sequence number of the oldest retained entry; with nothing retained,
   // base_seq() + 1 (the seq the next retained entry would get).

@@ -377,14 +377,7 @@ std::string MoiraServer::HandleReplFetch(ConnState& conn, const MrRequest& reque
   // prev_epoch: epoch of our entry just before the requested range, so the
   // replica can verify its applied prefix is a prefix of this log (0 =
   // start of history or truncated away — the replica skips the check).
-  uint64_t prev_epoch = 0;
-  if (*from_seq > 1) {
-    std::vector<JournalEntry> prev =
-        journal_.EntriesFromSeq(static_cast<uint64_t>(*from_seq) - 1, 1);
-    if (!prev.empty() && prev[0].seq == static_cast<uint64_t>(*from_seq) - 1) {
-      prev_epoch = prev[0].epoch;
-    }
-  }
+  const uint64_t prev_epoch = journal_.EpochAt(static_cast<uint64_t>(*from_seq) - 1);
   out += EncodeReply(MrReply{kMrProtocolVersion, MR_SUCCESS,
                              {std::to_string(journal_.last_seq()),
                               std::to_string(mc_->Now()),
@@ -594,13 +587,7 @@ int32_t MoiraServer::QuorumGate(uint64_t target_seq) {
       // The predecessor of the window lets the peer verify its applied prefix
       // really is a prefix of ours (prev_epoch 0 = start of history or
       // truncated away — epoch check skipped).
-      uint64_t prev_epoch = 0;
-      if (acked > 0) {
-        std::vector<JournalEntry> prev = journal_.EntriesFromSeq(acked, 1);
-        if (!prev.empty() && prev[0].seq == acked) {
-          prev_epoch = prev[0].epoch;
-        }
-      }
+      const uint64_t prev_epoch = journal_.EpochAt(acked);
       uint64_t applied = 0;
       uint64_t peer_epoch = 0;
       ++quorum_stats_.push_rounds;

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "src/common/clock.h"
+#include "src/common/random.h"
 #include "src/krb/kerberos.h"
 #include "src/update/archive.h"
 
@@ -150,54 +151,72 @@ class HostDirectory {
   bool down_ = false;
 };
 
-// Deterministic fleet-wide fault injection: before each DCM pass, every host
-// draws its fault mode for that pass from a stream seeded by (seed, pass,
-// host index), so the same spec replays the exact same fault schedule no
-// matter how many passes a configuration needs to converge.
-struct FaultPlanSpec {
+// Seeded fault injection, one plan for the DCM fleet and the replica
+// cluster.  Every draw comes from its own SplitMix64 stream keyed on
+// (seed, round, target), so the same plan replays the exact same schedule
+// however many rounds a run needs and however many draws any round takes.
+// Targets are host or replica indices (always below 8189) or one of the
+// reserved targets below.  A round is a DCM pass for ArmPass and
+// ArmDirectories, and a cluster round for ArmRound (src/repl/cluster.h).
+struct FaultPlan {
   uint64_t seed = 1988;
-  // Per-pass probability (permille) that a host is flaky: it refuses the
-  // first `flaky_fail_count` attempts of the pass, then heals.
+
+  // --- DCM fleet (ArmPass); at most one fault per host and pass, the first
+  // draw that hits in this order ---
+  // Probability (permille) that a host is down for the whole pass.
+  int down_permille = 0;
+  // Probability that a host is flaky: it refuses the first
+  // `flaky_fail_count` attempts of the pass, then heals.
   int flaky_permille = 0;
   int flaky_fail_count = 2;
-  // Probability that a host is down for the whole pass (refuses everything).
-  int down_permille = 0;
-  // Probability that a host's transfer stalls past the phase deadline.
+  // Probability that a host's transfer stalls an hour, past the deadline.
   int slow_permille = 0;
-  UnixTime slow_seconds = kSecondsPerHour;
   // Probability that the transferred bytes are corrupted (checksum mismatch).
   int corrupt_permille = 0;
   // Probability that one installed file tears mid-flush (silent truncation:
   // the update still reports success; self-healing relies on the next
   // patch's base-CRC check forcing a full ship).
   int torn_permille = 0;
-  // Directory-server outages (ROADMAP PR-4 residual): probability per pass
-  // that the KDC refuses ticket requests, and that Hesiod (the
-  // HostDirectory) fails lookups.  Already-issued tickets keep working, so
-  // cached-ticket paths ride out a KDC blip.
+
+  // --- directory servers (ArmDirectories; ArmRound arms the KDC too) ---
+  // Probability per round that the KDC refuses ticket requests, and that
+  // Hesiod (the HostDirectory) fails lookups.  Already-issued tickets keep
+  // working, so cached-ticket paths ride out a KDC blip.  At 0 permille the
+  // server is brought back up: the plan owns its state for the round.
   int kdc_down_permille = 0;
   int hesiod_down_permille = 0;
-};
 
-class FaultPlan {
- public:
-  explicit FaultPlan(const FaultPlanSpec& spec) : spec_(spec) {}
+  // --- replica cluster (ArmRound), drawn per replica and round ---
+  int crash_permille = 0;         // replica crashes for the round
+  int flap_permille = 0;          // primary link drops
+  int slow_apply_permille = 0;    // apply limit engaged for the round
+  int slow_apply_limit = 8;       // entries per catch-up call while slowed
+  int torn_push_permille = 0;     // next quorum push tears halfway through
+  int partition_permille = 0;     // a random pair partitions (both directions)
+  int asym_partition_permille = 0;  // a random ordered pair loses one direction
+
+  // Reserved stream targets.
+  static constexpr uint64_t kNetworkTarget = 8189;
+  static constexpr uint64_t kKdcTarget = 8190;
+  static constexpr uint64_t kHesiodTarget = 8191;
+
+  // The independent stream for (round, target).
+  SplitMix64 Stream(int round, uint64_t target) const {
+    return SplitMix64(seed + 0x9e3779b97f4a7c15ull *
+                                 (static_cast<uint64_t>(round) * 8192 + target));
+  }
+  // One permille draw; a zero probability consumes no randomness.
+  static bool Roll(SplitMix64& rng, int permille) {
+    return permille > 0 && rng.Chance(static_cast<uint64_t>(permille), 1000);
+  }
 
   // Arms each host's fail mode for pass number `pass` (0-based).  Hosts not
   // selected by any draw are reset to healthy.
-  void ArmPass(const std::vector<SimHost*>& hosts, int pass) const;
   void ArmPass(const std::vector<std::unique_ptr<SimHost>>& hosts, int pass) const;
 
-  // Arms the directory servers for pass number `pass` from their own
-  // deterministic streams (host indices stay below 8192, so the reserved
-  // indices 8190/8191 never collide with a host's stream).  Either pointer
-  // may be null.
-  void ArmDirectories(KerberosRealm* realm, HostDirectory* directory, int pass) const;
-
-  const FaultPlanSpec& spec() const { return spec_; }
-
- private:
-  FaultPlanSpec spec_;
+  // Sets the KDC and Hesiod up or down for round `round`.  Either pointer may
+  // be null.
+  void ArmDirectories(KerberosRealm* realm, HostDirectory* directory, int round) const;
 };
 
 }  // namespace moira

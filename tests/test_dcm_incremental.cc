@@ -204,9 +204,9 @@ TEST(DcmIncrementalTest, TornFlushIsCaughtByPatchBaseCrcAndFullShipHeals) {
   // The host still reports success — the damage is silent.
   ASSERT_EQ(MR_SUCCESS, site.Mutate("update_user_shell", {login, "/bin/torn1"}));
   site.clock.Advance(7 * kSecondsPerHour);  // only HESIOD due
-  FaultPlanSpec fault;
+  FaultPlan fault;
   fault.torn_permille = 1000;
-  FaultPlan(fault).ArmPass(site.hosts, 0);
+  fault.ArmPass(site.hosts, 0);
   DcmRunSummary second = site.dcm->RunOnce();
   EXPECT_EQ(1, second.patch_ships);
   EXPECT_EQ(0, second.patch_fallbacks);

@@ -17,7 +17,6 @@
 #include "src/comerr/moira_errors.h"
 #include "src/dcm/dcm.h"
 #include "src/repl/cluster.h"
-#include "src/repl/repl_fault.h"
 #include "src/repl/replica.h"
 #include "src/repl/router.h"
 #include "src/server/server.h"
@@ -510,17 +509,16 @@ TEST(FailoverSweepTest, RandomizedFaultsLoseNoAckedWritesNoSplitBrain) {
   ReplCluster cluster(options);
   std::unique_ptr<ReplicatedClient> router = MakeRouter(cluster);
 
-  ReplFaultSpec spec;
-  spec.seed = 1988;
-  spec.crash_permille = 150;
-  spec.flap_permille = 200;
-  spec.slow_permille = 150;
-  spec.slow_apply_limit = 2;
-  spec.kdc_down_permille = 100;
-  spec.torn_push_permille = 200;
-  spec.partition_permille = 300;
-  spec.asym_partition_permille = 300;
-  ReplFaultPlan plan(spec);
+  FaultPlan plan;
+  plan.seed = 1988;
+  plan.crash_permille = 150;
+  plan.flap_permille = 200;
+  plan.slow_apply_permille = 150;
+  plan.slow_apply_limit = 2;
+  plan.kdc_down_permille = 100;
+  plan.torn_push_permille = 200;
+  plan.partition_permille = 300;
+  plan.asym_partition_permille = 300;
 
   std::vector<ReplicaServer*> raw;
   std::vector<std::string> names;
@@ -541,7 +539,7 @@ TEST(FailoverSweepTest, RandomizedFaultsLoseNoAckedWritesNoSplitBrain) {
   };
 
   for (int round = 0; round < 25; ++round) {
-    plan.ArmRound(raw, &cluster.realm(), round, &cluster.net(), names);
+    ArmRound(plan, raw, &cluster.realm(), round, &cluster.net(), names);
     for (int tick = 0; tick < 3; ++tick) {
       cluster.Tick();
       check_one_primary_per_epoch();

@@ -9,7 +9,6 @@
 #include "src/client/client.h"
 #include "src/common/random.h"
 #include "src/repl/cluster.h"
-#include "src/repl/repl_fault.h"
 #include "src/repl/replica.h"
 #include "src/repl/router.h"
 #include "src/server/server.h"
@@ -33,8 +32,15 @@ TEST(JournalReplTest, SequenceNumbersAreMonotone) {
 TEST(JournalReplTest, EntriesFromSeqAndTruncation) {
   Journal journal;
   for (int i = 0; i < 10; ++i) {
+    if (i == 5) {
+      journal.set_epoch(2);  // seqs 1-5 carry epoch 1, seqs 6-10 epoch 2
+    }
     journal.Append(JournalEntry{0, 100 + i, "p", "c", "q" + std::to_string(i), {}});
   }
+  EXPECT_EQ(1u, journal.EpochAt(5));
+  EXPECT_EQ(2u, journal.EpochAt(6));
+  EXPECT_EQ(0u, journal.EpochAt(0));
+  EXPECT_EQ(0u, journal.EpochAt(11));  // past the end
   EXPECT_EQ(4u, journal.EntriesFromSeq(7).size());
   EXPECT_EQ(2u, journal.EntriesFromSeq(7, 2).size());
   EXPECT_EQ("q6", journal.EntriesFromSeq(7)[0].query);
@@ -50,6 +56,8 @@ TEST(JournalReplTest, EntriesFromSeqAndTruncation) {
   EXPECT_EQ(4u, journal.EntriesFromSeq(7).size());
   ASSERT_EQ(2u, journal.EntriesFromSeq(2, 2).size());  // below first_seq
   EXPECT_EQ(7u, journal.EntriesFromSeq(2, 2)[0].seq);
+  EXPECT_EQ(0u, journal.EpochAt(6));  // truncated
+  EXPECT_EQ(2u, journal.EpochAt(7));  // retained
   // A cut through the middle of the retained tail.
   EXPECT_EQ(2u, journal.TruncateThrough(8));
   EXPECT_EQ(8u, journal.base_seq());
@@ -468,12 +476,11 @@ TEST_F(ReplTest, CatchUpRidesOutKdcOutageOnCachedTicket) {
 
 TEST_F(ReplTest, FaultPlanInjectsDirectoryOutagesDeterministically) {
   HostDirectory hosts;
-  FaultPlanSpec spec;
-  spec.seed = 7;
-  spec.kdc_down_permille = 1000;
-  spec.hesiod_down_permille = 1000;
-  FaultPlan plan(spec);
-  plan.ArmDirectories(realm_.get(), &hosts, /*pass=*/0);
+  FaultPlan plan;
+  plan.seed = 7;
+  plan.kdc_down_permille = 1000;
+  plan.hesiod_down_permille = 1000;
+  plan.ArmDirectories(realm_.get(), &hosts, /*round=*/0);
   EXPECT_TRUE(realm_->down());
   EXPECT_TRUE(hosts.down());
   // A downed directory answers no lookups; tickets are refused.
@@ -482,9 +489,9 @@ TEST_F(ReplTest, FaultPlanInjectsDirectoryOutagesDeterministically) {
   EXPECT_EQ(MR_KDC_UNAVAILABLE,
             realm_->GetInitialTickets("root", "rootpw", kMoiraServiceName, &ticket));
   // Zero permille always heals — same API, deterministic either way.
-  FaultPlanSpec clear;
+  FaultPlan clear;
   clear.seed = 7;
-  FaultPlan(clear).ArmDirectories(realm_.get(), &hosts, /*pass=*/1);
+  clear.ArmDirectories(realm_.get(), &hosts, /*round=*/1);
   EXPECT_FALSE(realm_->down());
   EXPECT_FALSE(hosts.down());
 }
@@ -498,16 +505,15 @@ TEST_F(ReplTest, ConvergesByteIdenticalUnderSeededFaults) {
     ASSERT_EQ(MR_SUCCESS, replicas.back()->CatchUp());
     raw.push_back(replicas.back().get());
   }
-  ReplFaultSpec spec;
-  spec.seed = 1988;
-  spec.crash_permille = 250;
-  spec.flap_permille = 300;
-  spec.slow_permille = 300;
-  spec.slow_apply_limit = 2;
-  spec.kdc_down_permille = 200;
-  ReplFaultPlan plan(spec);
+  FaultPlan plan;
+  plan.seed = 1988;
+  plan.crash_permille = 250;
+  plan.flap_permille = 300;
+  plan.slow_apply_permille = 300;
+  plan.slow_apply_limit = 2;
+  plan.kdc_down_permille = 200;
   for (int round = 0; round < 12; ++round) {
-    plan.ArmRound(raw, realm_.get(), round);
+    ArmRound(plan, raw, realm_.get(), round);
     clock_.Advance(30);
     for (int w = 0; w < 4; ++w) {
       std::string name = "m" + std::to_string(round) + "x" + std::to_string(w) + ".mit.edu";
@@ -535,6 +541,62 @@ TEST_F(ReplTest, ConvergesByteIdenticalUnderSeededFaults) {
     EXPECT_EQ(0u, replica->stats().apply_failures) << replica->name();
     EXPECT_EQ(golden, BackupManager::DumpToString(replica->db())) << replica->name();
   }
+}
+
+TEST(ReplFaultPlanTest, SameSeedReplaysSameSchedule) {
+  // The randomized failover sweep's spec (tests/test_failover.cc), armed on a
+  // three-node cluster for 25 rounds with three heartbeats between rounds.
+  // Each round records what the public API shows right after arming: per
+  // node crashed (C) / link up (+) / link down (-) / no link (n), the KDC
+  // (K down, k up), and the partition matrix over ordered node pairs.
+  ReplClusterOptions options;
+  options.missed_heartbeats = 2;
+  ReplCluster cluster(options);
+  FaultPlan plan;
+  plan.seed = 1988;
+  plan.crash_permille = 150;
+  plan.flap_permille = 200;
+  plan.slow_apply_permille = 150;
+  plan.slow_apply_limit = 2;
+  plan.kdc_down_permille = 100;
+  plan.torn_push_permille = 200;
+  plan.partition_permille = 300;
+  plan.asym_partition_permille = 300;
+  std::vector<ReplicaServer*> raw;
+  std::vector<std::string> names;
+  for (int i = 0; i < cluster.size(); ++i) {
+    raw.push_back(cluster.node(i));
+    names.push_back(cluster.node_name(i));
+  }
+  std::vector<std::string> schedule;
+  for (int round = 0; round < 25; ++round) {
+    ArmRound(plan, raw, &cluster.realm(), round, &cluster.net(), names);
+    std::string row;
+    for (ReplicaServer* node : raw) {
+      MrClient* link = node->primary_link();
+      row += node->crashed() ? 'C' : link == nullptr ? 'n' : link->connected() ? '+' : '-';
+    }
+    row += cluster.realm().down() ? " K " : " k ";
+    for (const std::string& from : names) {
+      for (const std::string& to : names) {
+        if (from != to) {
+          row += cluster.net().Allowed(from, to) ? '1' : '0';
+        }
+      }
+    }
+    schedule.push_back(row);
+    for (int tick = 0; tick < 3; ++tick) {
+      cluster.Tick();
+    }
+  }
+  const std::vector<std::string> expected = {
+      "n-- k 111111", "n++ k 111010", "n++ k 111111", "n++ k 111111", "n++ k 111111",
+      "C+- k 111111", "nn+ k 111111", "-C+ k 110111", "nn+ k 111111", "nC+ K 110111",
+      "n-C k 010111", "n-- k 111111", "nC+ k 101101", "n-- k 111111", "C-C k 111000",
+      "C-- k 011111", "nn+ k 111111", "+n+ k 111111", "+n+ K 111101", "-CC K 111010",
+      "-C- K 111010", "nn- k 101101", "n+- k 111111", "n++ k 111111", "n++ K 100101",
+  };
+  EXPECT_EQ(expected, schedule);
 }
 
 }  // namespace

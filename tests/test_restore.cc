@@ -13,7 +13,7 @@
 #include "src/backup/checkpoint.h"
 #include "src/client/client.h"
 #include "src/dcm/cron.h"
-#include "src/repl/repl_fault.h"
+#include "src/repl/cluster.h"
 #include "src/repl/replica.h"
 #include "src/server/server.h"
 #include "tests/test_env.h"
@@ -671,17 +671,16 @@ TEST_F(RestoreE2ETest, RestartTruncationReplicaBootstrapAndFaults) {
   // Seeded fault rounds against the recovered primary, then heal: everything
   // converges byte-identically and the lifecycle keeps running.
   std::vector<ReplicaServer*> raw{lagging.get(), fresh.get()};
-  ReplFaultSpec spec;
-  spec.seed = 1988;
-  spec.crash_permille = 250;
-  spec.flap_permille = 300;
-  spec.slow_permille = 300;
-  spec.slow_apply_limit = 2;
-  spec.kdc_down_permille = 200;
-  ReplFaultPlan plan(spec);
+  FaultPlan plan;
+  plan.seed = 1988;
+  plan.crash_permille = 250;
+  plan.flap_permille = 300;
+  plan.slow_apply_permille = 300;
+  plan.slow_apply_limit = 2;
+  plan.kdc_down_permille = 200;
   MrClient admin3 = MakeAdmin();
   for (int round = 0; round < 8; ++round) {
-    plan.ArmRound(raw, realm_.get(), round);
+    ArmRound(plan, raw, realm_.get(), round);
     clock_.Advance(30);
     restart_clock_->Set(clock_.Now());
     for (int w = 0; w < 3; ++w) {

@@ -4,6 +4,8 @@
 
 #include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "src/comerr/moira_errors.h"
 #include "src/common/checksum.h"
@@ -314,25 +316,44 @@ TEST(FaultPlanTest, SameSeedReplaysSameSchedule) {
   };
   std::vector<std::unique_ptr<SimHost>> fleet_a = make_fleet();
   std::vector<std::unique_ptr<SimHost>> fleet_b = make_fleet();
-  FaultPlanSpec spec;
-  spec.seed = 7;
-  spec.flaky_permille = 300;
-  spec.down_permille = 150;
-  spec.corrupt_permille = 100;
-  FaultPlan plan(spec);
+  FaultPlan plan;
+  plan.seed = 7;
+  plan.flaky_permille = 300;
+  plan.down_permille = 150;
+  plan.corrupt_permille = 100;
   std::set<HostFailMode> seen;
+  std::vector<std::string> schedule;  // per pass: "<mode>x<count>" per host
   for (int pass = 0; pass < 5; ++pass) {
     plan.ArmPass(fleet_a, pass);
     plan.ArmPass(fleet_b, pass);
+    std::string row;
     for (size_t i = 0; i < fleet_a.size(); ++i) {
       EXPECT_EQ(fleet_a[i]->fail_mode(), fleet_b[i]->fail_mode());
       EXPECT_EQ(fleet_a[i]->fail_count(), fleet_b[i]->fail_count());
       seen.insert(fleet_a[i]->fail_mode());
+      row += (i == 0 ? "" : " ") + std::to_string(static_cast<int>(fleet_a[i]->fail_mode())) +
+             "x" + std::to_string(fleet_a[i]->fail_count());
     }
+    schedule.push_back(row);
   }
   // The draw actually injects a mix of faults (and leaves some hosts healthy).
   EXPECT_TRUE(seen.contains(HostFailMode::kNone));
   EXPECT_GE(seen.size(), 3u);
+  // The exact schedule is pinned: a change to the stream keying, the draw
+  // order or the stop-at-first-hit rule moves it.
+  const std::vector<std::string> expected = {
+      "0x0 0x0 6x2 0x0 0x0 0x0 6x2 0x0 8x1 6x2 "
+      "1x1048576 0x0 0x0 6x2 0x0 0x0 0x0 8x1 6x2 1x1048576",
+      "0x0 0x0 0x0 0x0 0x0 0x0 6x2 0x0 0x0 0x0 "
+      "0x0 0x0 6x2 0x0 0x0 0x0 8x1 6x2 1x1048576 6x2",
+      "0x0 8x1 6x2 1x1048576 6x2 1x1048576 6x2 1x1048576 6x2 0x0 "
+      "0x0 6x2 0x0 0x0 0x0 0x0 0x0 8x1 6x2 1x1048576",
+      "1x1048576 0x0 0x0 8x1 6x2 1x1048576 0x0 0x0 0x0 0x0 "
+      "0x0 0x0 0x0 0x0 6x2 0x0 6x2 1x1048576 8x1 6x2",
+      "0x0 8x1 6x2 1x1048576 1x1048576 6x2 1x1048576 0x0 0x0 0x0 "
+      "0x0 0x0 0x0 0x0 0x0 0x0 0x0 6x2 0x0 8x1",
+  };
+  EXPECT_EQ(expected, schedule);
 }
 
 TEST(HostDirectoryTest, RegisterAndFind) {
